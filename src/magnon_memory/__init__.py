@@ -38,6 +38,7 @@ from .boson import (
     JointState,
     PulseShape,
     SingleExcitationBasis,
+    SingleExcitationPropagator,
     build_boson_hamiltonian,
     evolve_constant,
     evolve_pulsed,

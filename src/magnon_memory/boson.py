@@ -11,14 +11,25 @@ with g = lam sqrt(s/2N) and Omega = 2 g_e mu_B B0.  Spectator modes whose
 mode N is always kept.
 
 Two bases are provided: a full product Fock basis (small mode counts) and a
-single-excitation basis spanning {|+,vac>, |-,vac>, |-,1_k>}, which is what
-large-N protocol and fidelity runs use.  Electron index 0 = |+>, 1 = |->.
+single-excitation basis spanning {|+,vac>, |-,vac>, |-,1_k>}.  Electron
+index 0 = |+>, 1 = |->.  Dense evolution on either basis goes through
+``evolve_constant``; it serves Fock states with occupied spectators, bare
+joint states, and the tests as the reference.
+
+The protocol and fidelity runs use :class:`SingleExcitationPropagator`
+instead.  In the single-excitation sector |-,vac> only gathers the phase
+e^{i Omega t/2}, and the dynamics from |+,vac> is an arrowhead matrix whose
+poles omega_k - Omega/2 come in equal pairs {k, N-k}.  Each pair couples to
+|+,vac> through one bright combination, so one real eigendecomposition of
+about N/2 + 2 rows gives a(t) = <+,vac|U(t)|+,vac>, b(t) = <-,1_N|U(t)|+,vac>
+and, if asked, every spectator amplitude.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +45,7 @@ __all__ = [
     "BosonModel",
     "FockBasis",
     "SingleExcitationBasis",
+    "SingleExcitationPropagator",
     "JointState",
     "PulseShape",
     "build_boson_hamiltonian",
@@ -57,6 +69,7 @@ class BosonModel:
     fock_cutoff: int = 1
     chi_threshold: float = DEFAULT_CHI_THRESHOLD
     active_modes: tuple = field(init=False)
+    omega: np.ndarray = field(init=False)  # omega_k for k = 1..N
 
     def __post_init__(self):
         if self.chi.N != self.params.N:
@@ -64,24 +77,37 @@ class BosonModel:
         if self.fock_cutoff < 1:
             raise DomainError("fock_cutoff must be >= 1")
         mags = np.abs(self.chi.chi[:-1])
-        active = [k for k in range(1, self.params.N) if mags[k - 1] >= self.chi_threshold]
-        active.append(self.params.N)  # memory mode always active
+        active = (np.flatnonzero(mags >= self.chi_threshold) + 1).tolist()
+        active.append(self.params.N)  # memory mode always active, and last
         object.__setattr__(self, "active_modes", tuple(active))
+        omega = np.append(spectator_frequencies(self.params), self.params.nuclear_zeeman)
+        object.__setattr__(self, "omega", omega)
 
     @property
     def g(self) -> float:
         return effective_coupling(self.params)
 
     def mode_frequency(self, k: int) -> float:
-        if k == self.params.N:
-            return self.params.nuclear_zeeman
-        return float(spectator_frequencies(self.params)[k - 1])
+        return float(self.omega[k - 1])
 
     def mode_coupling(self, k: int) -> complex:
         """Electron coupling of mode k: g for the memory mode, g chi_k else."""
         if k == self.params.N:
             return complex(self.g)
         return self.g * self.chi.value(k)
+
+    @cached_property
+    def active_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(omega_k, electron coupling) of the active modes, in their order."""
+        idx = np.array(self.active_modes) - 1
+        coupling = self.g * self.chi.chi[idx]
+        coupling[-1] = self.g
+        return self.omega[idx], coupling
+
+    @cached_property
+    def propagator(self) -> "SingleExcitationPropagator":
+        """The model's single-excitation propagator, built on first use."""
+        return SingleExcitationPropagator(self)
 
 
 class FockBasis:
@@ -104,6 +130,7 @@ class FockBasis:
         weights = base ** np.arange(n_modes)
         self.occupations = (idx[:, None] // weights[None, :]) % base
         self._weights = weights
+        self._position = {k: p for p, k in enumerate(self.modes)}
 
     def index(self, electron: int, occs=None) -> int:
         if electron not in (0, 1):
@@ -122,9 +149,9 @@ class FockBasis:
         return f"{sign}|{occ}"
 
     def mode_position(self, k: int) -> int:
-        if k not in self.modes:
+        if k not in self._position:
             raise DomainError(f"mode k={k} is not active in this basis")
-        return self.modes.index(k)
+        return self._position[k]
 
     def occupation_diagonal(self, k: int) -> np.ndarray:
         p = self.mode_position(k)
@@ -164,6 +191,7 @@ class SingleExcitationBasis:
     def __init__(self, modes: tuple):
         self.modes = tuple(modes)
         self.dim = 2 + len(self.modes)
+        self._position = {k: p for p, k in enumerate(self.modes)}
 
     def index(self, electron: int, occs=None) -> int:
         if occs is None or not np.any(occs):
@@ -183,9 +211,9 @@ class SingleExcitationBasis:
         return f"-|1_{self.modes[i - 2]}"
 
     def mode_position(self, k: int) -> int:
-        if k not in self.modes:
+        if k not in self._position:
             raise DomainError(f"mode k={k} is not active in this basis")
-        return self.modes.index(k)
+        return self._position[k]
 
     def occupation_diagonal(self, k: int) -> np.ndarray:
         p = self.mode_position(k)
@@ -256,18 +284,17 @@ def build_boson_hamiltonian(model: BosonModel, basis=None) -> np.ndarray:
         basis = FockBasis(model.active_modes, model.fock_cutoff)
     if tuple(basis.modes) != tuple(model.active_modes):
         raise DomainError("basis modes do not match the model's active modes")
-    omega = {k: model.mode_frequency(k) for k in model.active_modes}
-    coupling = {k: model.mode_coupling(k) for k in model.active_modes}
+    omega, coupling = model.active_arrays
     half_split = 0.5 * model.params.electron_splitting
 
     if isinstance(basis, SingleExcitationBasis):
         H = np.zeros((basis.dim, basis.dim), dtype=complex)
         H[0, 0] = half_split
         H[1, 1] = -half_split
-        for i, k in enumerate(basis.modes):
-            H[2 + i, 2 + i] = omega[k] - half_split
-            H[0, 2 + i] = coupling[k]
-            H[2 + i, 0] = np.conj(coupling[k])
+        rows = np.arange(2, basis.dim)
+        H[rows, rows] = omega - half_split
+        H[0, 2:] = coupling
+        H[2:, 0] = np.conj(coupling)
         return H
 
     base = basis.cutoff + 1
@@ -275,18 +302,18 @@ def build_boson_hamiltonian(model: BosonModel, basis=None) -> np.ndarray:
     H = np.zeros((basis.dim, basis.dim), dtype=complex)
     occ = basis.occupations
     di = np.arange(md)
-    diag_mode = occ.astype(float) @ np.array([omega[k] for k in basis.modes])
+    diag_mode = occ.astype(float) @ omega
     H[di, di] = diag_mode + half_split
     H[md + di, md + di] = diag_mode - half_split
     # sigma_+ b_k: |-, n> -> sqrt(n_k) |+, n - 1_k>, plus the conjugate.
-    for p, k in enumerate(basis.modes):
+    for p in range(len(basis.modes)):
         nk = occ[:, p]
         mask = nk > 0
         if not mask.any():
             continue
         src = di[mask]
         tgt = src - base**p
-        amp = coupling[k] * np.sqrt(nk[mask].astype(float))
+        amp = coupling[p] * np.sqrt(nk[mask].astype(float))
         H[tgt, md + src] += amp
         H[md + src, tgt] += np.conj(amp)
     return H
@@ -298,6 +325,58 @@ def evolve_constant(model: BosonModel, state: JointState, t: float) -> JointStat
     evals, vecs = np.linalg.eigh(H)
     out = vecs @ (np.exp(-1j * evals * t) * (vecs.conj().T @ state.vector))
     return JointState(out, state.basis)
+
+
+class SingleExcitationPropagator:
+    """U(t)|+,vac> of a model from one real eigendecomposition.
+
+    The rows are |+,vac>, |-,1_N> and one bright state per spectator pair
+    {k, N-k}.  A pair shares the pole omega_k - Omega/2 (omega_k =
+    omega_{N-k}; pairs are matched by index because the two floating-point
+    frequencies can differ in the last bits), so it couples to |+,vac> only
+    through sum_k conj(c_k)|-,1_k> / r with c_k = g chi_k and
+    r = sqrt(sum_k |c_k|^2).  The coupling r is real, so the matrix is real
+    symmetric.  The orthogonal dark combinations, and pairs with r = 0, are
+    never populated and are left out.
+    """
+
+    def __init__(self, model: BosonModel):
+        N = model.params.N
+        half_split = 0.5 * model.params.electron_splitting
+        omega, coupling = model.active_arrays
+        spectators = np.array(model.active_modes[:-1], dtype=int)
+        pairs, pair_of = np.unique(np.minimum(spectators, N - spectators),
+                                   return_inverse=True)
+        strength = np.sqrt(np.bincount(pair_of, np.abs(coupling[:-1]) ** 2,
+                                       minlength=pairs.size))
+        bright = strength > 0.0
+        # spectator k holds conj(c_k) / r times the amplitude of its pair's row
+        lit = bright[pair_of]
+        self._spread = np.zeros(spectators.size, dtype=complex)
+        self._spread[lit] = np.conj(coupling[:-1][lit]) / strength[pair_of[lit]]
+        self._row_of = 1 + np.cumsum(bright)[pair_of]
+
+        diag = np.concatenate([[half_split, omega[-1] - half_split],
+                               model.omega[pairs[bright] - 1] - half_split])
+        H = np.diag(diag)
+        H[0, 1:] = H[1:, 0] = np.concatenate([[model.g], strength[bright]])
+        self.energies, self.vectors = np.linalg.eigh(H)
+
+    def amplitudes(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """a(t) = <+,vac|U(t)|+,vac> and b(t) = <-,1_N|U(t)|+,vac> on a time grid."""
+        phases = np.exp(-1j * np.outer(np.atleast_1d(t), self.energies))
+        a = phases @ self.vectors[0] ** 2
+        b = phases @ (self.vectors[1] * self.vectors[0])
+        return a, b
+
+    def state(self, t: float) -> np.ndarray:
+        """U(t)|+,vac> on the model's SingleExcitationBasis."""
+        rows = self.vectors @ (self.vectors[0] * np.exp(-1j * self.energies * t))
+        vec = np.zeros(self._spread.size + 3, dtype=complex)
+        vec[0] = rows[0]
+        vec[2:-1] = self._spread * rows[self._row_of]
+        vec[-1] = rows[1]
+        return vec
 
 
 @dataclass(frozen=True, eq=False)

@@ -344,16 +344,11 @@ def _sweep_point(base: dict, overrides: dict) -> dict:
         attempt("F_analytic_t0", lambda: fidelity_large_n(
             row["t0"], LargeNFidelityParams(row["gamma"], row["g"])))
 
-    def numeric_at_t0():
-        model = BosonModel(params, chi,
-                           chi_threshold=base.get("chi_threshold", 1e-8))
-        return float(numeric_fidelity(model, [row["t0"]]).f[0])
-
-    attempt("F_numeric_t0", numeric_at_t0)
+    # one model, so both columns share its propagator (one eigensolve)
+    model = BosonModel(params, chi, chi_threshold=base.get("chi_threshold", 1e-8))
+    attempt("F_numeric_t0", lambda: float(numeric_fidelity(model, [row["t0"]]).f[0]))
 
     def leaked():
-        model = BosonModel(params, chi,
-                           chi_threshold=base.get("chi_threshold", 1e-8))
         s = 1.0 / math.sqrt(2.0)
         return store_outcome(QubitState.pure(s, s), model).leakage
 

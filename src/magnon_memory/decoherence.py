@@ -11,9 +11,12 @@ Two closed-form regimes are covered:
 * small N (discrete spectrum): adiabatic elimination of the spectators,
   dispersive shift Omega' and a fast-oscillating overlap formula.
 
-The numerical route evolves the ideal (homogeneous) and the perturbed model
-side by side in the single-excitation sector and samples |<Psi|Psi'>|; it is
-the oracle the analytic curves are checked against.
+The numerical route compares the ideal evolution (spectator couplings off)
+with the perturbed one in the single-excitation sector and samples
+|<Psi|Psi'>|; it is the oracle the analytic curves are checked against.  The
+ideal branch is a closed-form two-level Rabi oscillation, and the perturbed
+one needs only the two amplitudes a(t), b(t) of the model's
+``SingleExcitationPropagator``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boson import BosonModel, SingleExcitationBasis, build_boson_hamiltonian
+from .boson import BosonModel
 from .errors import DomainError, RegimeError, SingularModeError
 from .model import ChiSpectrum, PhysicalParams, effective_coupling, spectator_frequencies
 
@@ -268,36 +271,31 @@ def numeric_fidelity(model: BosonModel, t_grid) -> FidelityCurve:
 
     Both wavefunctions start from (|+> + |->)/sqrt(2) (x) vacuum and live in
     the single-excitation sector; Psi evolves with the spectator couplings
-    switched off, Psi' with the model's chi_k.
+    switched off, Psi' with the model's chi_k.  The |-,vac> halves gather the
+    same phase, so F = (1/2) |1 + conj(a0) a + conj(b0) b| with a, b the
+    model's amplitudes on |+,vac>, |-,1_N> and a0, b0 those of the two-level
+    Rabi problem {|+,vac>, |-,1_N>}.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise DomainError("time grid must not be empty")
-    basis = SingleExcitationBasis(model.active_modes)
-    h_real = build_boson_hamiltonian(model, basis)
-    h_ideal = h_real.copy()
-    n_pos = basis.mode_position(model.params.N)
-    for i in range(len(basis.modes)):
-        if i != n_pos:
-            h_ideal[0, 2 + i] = 0.0
-            h_ideal[2 + i, 0] = 0.0
+    params = model.params
+    g = effective_coupling(params)
+    half_split = 0.5 * params.electron_splitting
+    mean = 0.5 * params.nuclear_zeeman
+    detuning = half_split - mean  # half the gap between |+,vac> and |-,1_N>
+    rabi = math.hypot(detuning, g)
+    envelope = np.exp(-1j * mean * t_grid)
+    sin_rt = np.sin(rabi * t_grid)
+    a0 = envelope * (np.cos(rabi * t_grid) - 1j * (detuning / rabi) * sin_rt)
+    b0 = envelope * (-1j * (g / rabi) * sin_rt)
 
-    psi0 = np.zeros(basis.dim, dtype=complex)
-    psi0[0] = psi0[1] = 1.0 / math.sqrt(2.0)
-
-    def propagate(h):
-        evals, vecs = np.linalg.eigh(h)
-        coeff = vecs.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(t_grid, evals))
-        return (phases * coeff[None, :]) @ vecs.T  # rows: states at each t
-
-    ideal = propagate(h_ideal)
-    real = propagate(h_real)
-    f = np.abs(np.sum(ideal.conj() * real, axis=1))
+    a, b = model.propagator.amplitudes(t_grid)
+    f = 0.5 * np.abs(1.0 + np.conj(a0) * a + np.conj(b0) * b)
     f = np.minimum(f, 1.0)
     meta = {
-        "g": effective_coupling(model.params),
-        "N": model.params.N,
+        "g": g,
+        "N": params.N,
         "active_modes": list(model.active_modes),
     }
     return FidelityCurve(t_grid, f, "numeric", meta)

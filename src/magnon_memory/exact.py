@@ -90,12 +90,15 @@ def build_exact(params: PhysicalParams, profile: CouplingProfile,
                 max_dim: int = DEFAULT_DIM_CAP) -> ExactHamiltonian:
     """Assemble H_e + H_n + H_en on the full 2(2s+1)^N space.
 
-    H_e  = -g_e mu_B B0 sigma_z
-    H_n  = -g_n mu_n B0 sum_l S_z^l - J sum_l S^l . S^(l+1)   (periodic)
+    H_e  = +g_e mu_B B0 sigma_z
+    H_n  = +g_n mu_n B0 sum_l S_z^l - J sum_l S^l . S^(l+1)   (periodic)
     H_en = (1/2N) sum_l lambda_l (sigma_+ S_-^l + h.c.)
 
     Spin operators act in the (2s+1)-dimensional representation with
-    S_z |m> = (m - s)|m> and S_- |m> = sqrt(m (2s - m + 1)) |m-1>.
+    S_z |m> = (m - s)|m> and S_- |m> = sqrt(m (2s - m + 1)) |m-1>.  The
+    signs match the bosonized model: |+> sits at +Omega/2 = +g_e mu_B B0,
+    and one flip away from the ground state |G> (all S_z = -s) costs
+    omega_k = g_n mu_n B0 + 2Js(1 - cos(2 pi k/N)).
     """
     if profile.N != params.N:
         raise DomainError("profile length must equal params.N")
@@ -115,10 +118,10 @@ def build_exact(params: PhysicalParams, profile: CouplingProfile,
 
     # Diagonal: nuclear Zeeman, S_z S_z exchange, electron Zeeman.
     sz = m - s
-    diag_nuc = -params.nuclear_zeeman * sz.sum(axis=1)
+    diag_nuc = params.nuclear_zeeman * sz.sum(axis=1)
     for l in range(N):
         diag_nuc -= params.J * sz[:, l] * sz[:, (l + 1) % N]
-    e_zeeman = -params.g_e * params.mu_B * params.B0  # energy of |+>; |-> gets the opposite
+    e_zeeman = params.g_e * params.mu_B * params.B0  # energy of |+>; |-> gets the opposite
     di = np.arange(nuc)
     H[di, di] += diag_nuc + e_zeeman
     H[nuc + di, nuc + di] += diag_nuc - e_zeeman

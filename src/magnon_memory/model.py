@@ -202,11 +202,11 @@ def chi_spectrum(profile: CouplingProfile) -> ChiSpectrum:
         chi = np.zeros(N, dtype=complex)
         chi[-1] = profile.lambdas[0] / profile.chi_reference
         return ChiSpectrum(chi)
-    l = np.arange(1, N + 1, dtype=float)
-    k = np.arange(1, N + 1, dtype=float)
     weights = profile.lambdas / (profile.chi_reference * N)
-    phases = np.exp(1j * 2.0 * np.pi * np.outer(k, l) / N)
-    return ChiSpectrum(phases @ weights)
+    # N * ifft sums x_j e^{i 2 pi k j / N} over j = 0..N-1: rolling by one
+    # puts site l = N at j = 0 (its phase is 1), and rolling the result back
+    # moves k = 0, which is mode N, to the last slot
+    return ChiSpectrum(N * np.roll(np.fft.ifft(np.roll(weights, 1)), -1))
 
 
 def dispersion(params: PhysicalParams, k: int) -> float:

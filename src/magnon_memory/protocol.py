@@ -10,11 +10,21 @@ Basis conventions (fixed package-wide, mind the cross-alignment):
   stays put, the excited branch completes half a Rabi cycle).  After the
   relabelling - <-> 0, + <-> 1 the map is the fixed diagonal phase
   diag(1, e^{-i pi/2}), independent of the stored state.
+
+With the spectators in vacuum the write and read steps stay in the
+single-excitation sector, where |-,vac> does not move at B0 = 0.  The
+stored state and the leakage are then closed-form functions of
+b(t0) = <-,1_N|U(t0)|+,vac>, and the round trip and its process fidelity of
+A = a(2 t0) = <+,vac|U(2 t0)|+,vac>; both come from the model's cached
+``SingleExcitationPropagator``.  Stores with occupied spectators, and bare
+joint states handed to ``retrieve``, are evolved densely.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,67 +168,103 @@ def _initial_occupations(model: BosonModel, spectator_occupations):
 
 @dataclass(frozen=True, eq=False)
 class StoreOutcome:
-    """Stored state plus the evolved joint branches needed for retrieval."""
+    """Stored state and leakage of a write step, plus what retrieval needs.
+
+    ``occupations`` is None when the spectators start in vacuum; then the
+    single-excitation propagator of ``model`` gives everything in closed
+    form.  Otherwise it holds the active-mode occupations of the Fock-basis
+    store, whose joint states are evolved densely.
+    """
 
     stored: StoredState
     leakage: float
-    branches: list  # [(probability, JointState), ...]
     model: BosonModel
+    rho: QubitState
+    occupations: np.ndarray | None = None
+
+    @cached_property
+    def branches(self) -> list:
+        """[(probability, JointState at t0), ...], one per eigenvector of rho."""
+        return _evolved_branches(self.rho, self.model, self.occupations)
+
+
+def _evolved_branches(rho: QubitState, model: BosonModel, occs) -> list:
+    """Evolve each eigenbranch of rho (x) the initial modes for t0.
+
+    Mixing the branches with their weights equals evolving a purification
+    of rho with a virtual reference and tracing the reference out.
+    """
+    probs, vecs = np.linalg.eigh(rho.rho)
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    t0 = swap_time(model.params)
+    if occs is None:
+        basis = SingleExcitationBasis(model.active_modes)
+        up = model.propagator.state(t0)
+    else:
+        basis = FockBasis(model.active_modes, max(model.fock_cutoff, int(occs.max())))
+    branches = []
+    for p, amp in zip(probs, vecs.T):
+        if p == 0.0:
+            continue
+        if occs is None:
+            vec = amp[0] * up
+            vec[1] += amp[1]  # |-,vac> is stationary at B0 = 0
+            final = JointState(vec, basis)
+        else:
+            init = np.zeros(basis.dim, dtype=complex)
+            init[basis.index(0, occs)] = amp[0]
+            init[basis.index(1, occs)] = amp[1]
+            final = evolve_constant(model, JointState(init, basis), t0)
+        branches.append((float(p), final))
+    return branches
 
 
 def store_outcome(rho: QubitState, model: BosonModel,
                   spectator_occupations=None) -> StoreOutcome:
     """Run the write step: evolve rho (x) vacuum for t0 under the model.
 
-    Mixed inputs are handled by purification: each eigenbranch of rho is
-    evolved as a pure state and the branches are mixed with their weights,
-    which is equivalent to evolving a purification with a virtual reference
-    and tracing it out.
+    With the spectators in vacuum everything follows from b = b(t0):
+    w_11 = rho_++ |b|^2, w_01 = rho_-+ conj(b) and leakage = rho_++ (1 - |b|^2).
+    Occupied spectators take the dense Fock-basis route, one evolved
+    eigenbranch of rho at a time.
     """
     _require_resonant(model, "store")
     occs = _initial_occupations(model, spectator_occupations)
-    use_fock = bool(np.any(occs))
-    if use_fock:
-        basis = FockBasis(model.active_modes, max(model.fock_cutoff, int(occs.max())))
-    else:
-        basis = SingleExcitationBasis(model.active_modes)
+    if np.any(occs):
+        return _fock_store(rho, model, occs)
+    _, b = model.propagator.amplitudes(swap_time(model.params))
+    b = b[0]
+    r = rho.rho
+    kept = r[0, 0].real * abs(b) ** 2
+    w = np.array([[1.0 - kept, r[1, 0] * np.conj(b)],
+                  [r[0, 1] * b, kept]])
+    leakage = max(0.0, r[0, 0].real * (1.0 - abs(b) ** 2))
+    return StoreOutcome(StoredState(w), float(leakage), model, rho)
 
-    probs, vecs = np.linalg.eigh(rho.rho)
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    t0 = swap_time(model.params)
-    n_pos = basis.mode_position(model.params.N)
 
+def _fock_store(rho: QubitState, model: BosonModel, occs: np.ndarray) -> StoreOutcome:
+    branches = _evolved_branches(rho, model, occs)
     w = np.zeros((2, 2), dtype=complex)
     leakage = 0.0
-    branches = []
-    for p, amp in zip(probs, vecs.T):
-        if p == 0.0:
-            continue
-        init = np.zeros(basis.dim, dtype=complex)
-        if use_fock:
-            init[basis.index(0, occs)] = amp[0]
-            init[basis.index(1, occs)] = amp[1]
-        else:
-            init[0], init[1] = amp[0], amp[1]
-        final = evolve_constant(model, JointState(init, basis), t0)
-        w += p * basis.reduce_mode(final.vector, model.params.N)[:2, :2]
-        leakage += p * _branch_leakage(final.vector, basis, occs, n_pos)
-        branches.append((float(p), final))
-    return StoreOutcome(StoredState(w), float(leakage), branches, model)
+    for p, final in branches:
+        w += p * final.basis.reduce_mode(final.vector, model.params.N)[:2, :2]
+        leakage += p * _branch_leakage(final, occs, model.params.N)
+    outcome = StoreOutcome(StoredState(w), float(leakage), model, rho, occs)
+    outcome.__dict__["branches"] = branches  # fills the cached property
+    return outcome
 
 
-def _branch_leakage(vec: np.ndarray, basis, initial_occs, n_pos: int) -> float:
+def _branch_leakage(final: JointState, initial_occs, memory_mode: int) -> float:
     """Population outside {electron -} (x) {spectators as prepared} (x) {n_N <= 1}."""
-    if isinstance(basis, SingleExcitationBasis):
-        good = abs(vec[1]) ** 2 + abs(vec[2 + n_pos]) ** 2
-        return max(0.0, 1.0 - good)
+    basis = final.basis
+    n_pos = basis.mode_position(memory_mode)
     occ = basis.occupations
-    spect = [p for p in range(len(basis.modes)) if p != n_pos]
     sel = occ[:, n_pos] <= 1
-    for p in spect:
-        sel &= occ[:, p] == initial_occs[p]
-    block = vec[basis.mode_dim:]  # electron |-> block
+    for p in range(len(basis.modes)):
+        if p != n_pos:
+            sel &= occ[:, p] == initial_occs[p]
+    block = final.vector[basis.mode_dim:]  # electron |-> block
     good = float(np.sum(np.abs(block[sel]) ** 2))
     return max(0.0, 1.0 - good)
 
@@ -230,14 +276,32 @@ def store(rho: QubitState, model: BosonModel,
     return out.stored, out.leakage
 
 
+def _round_trip_closed_form(rho: QubitState, model: BosonModel) -> QubitState:
+    """rho after 2 t0 in the single-excitation sector, from A = a(2 t0).
+
+    rho_++ -> rho_++ |A|^2 and rho_+- -> rho_+- A: an amplitude-damping
+    channel with a phase, since |-,vac> does not move at B0 = 0.
+    """
+    a, _ = model.propagator.amplitudes(2.0 * swap_time(model.params))
+    r = rho.rho
+    kept = r[0, 0].real * abs(a[0]) ** 2
+    coherence = r[0, 1] * a[0]
+    return QubitState(np.array([[kept, coherence],
+                                [np.conj(coherence), 1.0 - kept]]))
+
+
 def retrieve(stored, model: BosonModel | None = None) -> QubitState:
     """Read step: evolve a stored joint state for another t0, reduce the electron.
 
-    Accepts the StoreOutcome from :func:`store_outcome` (mixing all branches)
-    or a single JointState.
+    Accepts the StoreOutcome from :func:`store_outcome` or a single
+    JointState.  An outcome read back with the model that stored it, with
+    the spectators in vacuum, is a closed-form function of a(2 t0); other
+    outcomes and bare joint states are evolved densely.
     """
     if isinstance(stored, StoreOutcome):
         model = model or stored.model
+        if stored.occupations is None and model is stored.model:
+            return _round_trip_closed_form(stored.rho, model)
         rho = np.zeros((2, 2), dtype=complex)
         t0 = swap_time(model.params)
         for p, joint in stored.branches:
@@ -268,54 +332,29 @@ def roundtrip_unitary() -> np.ndarray:
 def process_fidelity_roundtrip(model: BosonModel) -> float:
     """Process fidelity of the actual round trip against the ideal unitary.
 
-    Reconstructs the qubit channel from the joint evolution of the two
-    electron basis states over 2 t0 and compares Choi states with the
-    diag(-1, 1) target.
+    The round trip has Kraus operators diag(A, 1) and sqrt(1 - |A|^2)|-><+|
+    with A = a(2 t0), so against diag(-1, 1) the process fidelity
+    sum_i |Tr(U^dag K_i)|^2 / 4 is |1 - A|^2 / 4.
     """
     _require_resonant(model, "round trip")
-    basis = SingleExcitationBasis(model.active_modes)
-    t_total = 2.0 * swap_time(model.params)
-    finals = []
-    for electron in (0, 1):
-        init = np.zeros(basis.dim, dtype=complex)
-        init[electron] = 1.0
-        finals.append(evolve_constant(model, JointState(init, basis), t_total).vector)
-
-    # E(|i><j|) from cross terms of the evolved purification branches.
-    def channel_block(i: int, j: int) -> np.ndarray:
-        psi_i = finals[i].reshape(-1)
-        psi_j = finals[j].reshape(-1)
-        rho = np.zeros((2, 2), dtype=complex)
-        rho[0, 0] = psi_i[0] * np.conj(psi_j[0])
-        rho[0, 1] = psi_i[0] * np.conj(psi_j[1])
-        rho[1, 0] = psi_i[1] * np.conj(psi_j[0])
-        rho[1, 1] = psi_i[1] * np.conj(psi_j[1]) + psi_i[2:] @ psi_j[2:].conj()
-        return rho
-
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            choi[i * 2:(i + 1) * 2, j * 2:(j + 1) * 2] = channel_block(i, j)
-    choi /= 2.0
-    u = roundtrip_unitary()
-    bell = np.zeros(4, dtype=complex)
-    for i in (0, 1):
-        bell[i * 2:(i + 1) * 2] += u[:, i] / np.sqrt(2.0)
-    return float(np.real(bell.conj() @ choi @ bell))
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    a, _ = model.propagator.amplitudes(2.0 * swap_time(model.params))
+    return float(abs(1.0 - a[0]) ** 2 / 4.0)
 
 
 def uhlmann_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Root-convention fidelity F = Tr sqrt(sqrt(a) b sqrt(a)), in [0, 1]."""
-    ra = _psd_sqrt(np.asarray(a, dtype=complex))
-    inner = ra @ np.asarray(b, dtype=complex) @ ra
-    evals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    f = float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
-    return min(max(f, 0.0), 1.0)
+    """Root-convention fidelity F = Tr sqrt(sqrt(a) b sqrt(a)) of qubit states, in [0, 1].
+
+    sqrt(a) b sqrt(a) has the eigenvalues of a b, which sum to Tr(a b) and
+    multiply to det(a) det(b); for 2x2 matrices this gives
+    F^2 = Tr(a b) + 2 sqrt(det(a) det(b)).
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != (2, 2) or b.shape != (2, 2):
+        raise DomainError("uhlmann_fidelity compares 2x2 density matrices")
+    dets = max(float(np.real(np.linalg.det(a) * np.linalg.det(b))), 0.0)
+    f_sq = float(np.real(np.trace(a @ b))) + 2.0 * math.sqrt(dets)
+    return min(math.sqrt(max(f_sq, 0.0)), 1.0)
 
 
 def map_fidelity(rho_in: QubitState, w_out: StoredState) -> float:

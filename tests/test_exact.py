@@ -228,16 +228,17 @@ class TestInvariants:
             pop = reduce_electron(evolve_exact(ham, psi0, t)).rho[0, 0].real
             assert abs(pop - math.cos(g * t) ** 2) <= 0.05
 
-    def test_inhomogeneous_dynamics_matches_bosonized_route(self):
+    @pytest.mark.parametrize("B0", [0.0, 0.4, -0.7])
+    def test_inhomogeneous_dynamics_matches_bosonized_route(self, B0):
         # with mean(lambda_l) = lambda_1 the memory-mode coupling of the
         # bosonized model coincides with the site-local one (chi_N = 1), so
         # the two independently coded routes must agree to roundoff in the
-        # single-excitation sector
+        # single-excitation sector, on and off resonance
         from magnon_memory import BosonModel, chi_spectrum, evolve_constant
         from magnon_memory.boson import product_state as boson_state
 
         lambdas = np.array([1.0, 1.3, 0.7, 1.1, 0.9, 1.0])
-        params = PhysicalParams(N=6, s=0.5, J=0.9, B0=0.0)
+        params = PhysicalParams(N=6, s=0.5, J=0.9, B0=B0)
         profile = custom_profile(lambdas)
         chi = chi_spectrum(profile)
         assert abs(chi.value(6) - 1.0) < 1e-12

@@ -159,6 +159,18 @@ class TestChiSpectrum:
             expected = np.sum((lambdas / prof.chi_reference) ** 2) / N
             assert np.sum(np.abs(chi) ** 2) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("N", [37, 64])
+    def test_fft_matches_direct_sum(self, N):
+        # chi_k = sum_l lambda_l / (lambda_ref N) e^{i 2 pi k l / N}, with the
+        # phase reduced mod N in integers so the reference itself is exact
+        rng = np.random.default_rng(N)
+        lambdas = rng.uniform(0.1, 2.0, N)
+        l = np.arange(1, N + 1)
+        phases = np.exp(2j * np.pi * (np.outer(l, l) % N) / N)
+        for prof in (gaussian_profile(N, N / 7.0), custom_profile(lambdas)):
+            direct = phases @ (prof.lambdas / (prof.chi_reference * N))
+            assert np.max(np.abs(chi_spectrum(prof).chi - direct)) <= 1e-14
+
     def test_inverse_transform_recovers_profile(self):
         rng = np.random.default_rng(11)
         N = 24
