@@ -5,6 +5,13 @@ and evolves states by dense eigendecomposition.  This module is the oracle
 the bosonized simulator is validated against; it makes no low-excitation
 approximation.
 
+Every matrix element of H is real, so H is a real symmetric matrix: one
+real ``eigh`` gives real eigenvectors V, and exp(-iHt)|psi> is
+V (exp(-iEt) * V^T psi).  A whole time grid is propagated as one batched
+product, a block of rows at a time; each block of complex rows is kept
+under ``PROPAGATION_BLOCK_BYTES``, so a grid of any length costs
+O(dim^2 + block * dim) memory beyond the rows a caller keeps.
+
 Basis layout: joint index = electron * (2s+1)^N + nuclear index, electron
 0 = |+> (up), 1 = |-> (down).  A nuclear configuration is the tuple of
 per-site flip numbers m_l in {0..2s} away from the fully polarised ground
@@ -25,11 +32,14 @@ __all__ = [
     "build_exact",
     "evolve_exact",
     "reduce_electron",
+    "up_population",
     "excitation_numbers",
     "product_state",
 ]
 
 DEFAULT_DIM_CAP = 8192  # 2 * 2^12: N = 12 at s = 1/2
+PROPAGATION_BLOCK_BYTES = 16 * 2**20  # complex rows per propagation block
+NORM_TOL = 1e-10  # allowed |norm - 1| of a joint state
 
 
 class SpinRingBasis:
@@ -66,7 +76,7 @@ class SpinRingBasis:
 
 
 class ExactHamiltonian:
-    """Dense Hermitian H on the exact spin space, with cached eigensystem."""
+    """Dense real symmetric H on the exact spin space, with cached eigensystem."""
 
     def __init__(self, matrix: np.ndarray, params: PhysicalParams,
                  profile: CouplingProfile, basis: SpinRingBasis):
@@ -81,6 +91,7 @@ class ExactHamiltonian:
         return self.matrix.shape[0]
 
     def eigensystem(self):
+        """Real eigenvalues and real orthonormal eigenvectors (columns) of H."""
         if self._eig is None:
             self._eig = np.linalg.eigh(self.matrix)
         return self._eig
@@ -99,22 +110,31 @@ def build_exact(params: PhysicalParams, profile: CouplingProfile,
     signs match the bosonized model: |+> sits at +Omega/2 = +g_e mu_B B0,
     and one flip away from the ground state |G> (all S_z = -s) costs
     omega_k = g_n mu_n B0 + 2Js(1 - cos(2 pi k/N)).
+
+    H is real symmetric (float64): the Zeeman and S_z S_z terms are real
+    diagonals, the matrix elements of S_+ and S_- in the S_z basis are real
+    square roots, and the site couplings lambda_l are real, so neither the
+    transverse exchange nor the hyperfine flip-flop carries a phase.
+
+    The dimension is checked against ``max_dim`` in integer arithmetic
+    before anything of that size is allocated.
     """
     if profile.N != params.N:
         raise DomainError("profile length must equal params.N")
-    basis = SpinRingBasis(params.N, params.s)
-    if basis.dim > max_dim:
+    dim = 2 * (params.two_s + 1) ** params.N
+    if dim > max_dim:
         raise ResourceLimitError(
-            f"exact Hilbert space dimension {basis.dim} exceeds the cap "
+            f"exact Hilbert space dimension {dim} exceeds the cap "
             f"{max_dim}; reduce N or s, or raise max_dim explicitly"
         )
+    basis = SpinRingBasis(params.N, params.s)
     N, s, two_s, d = params.N, params.s, basis.two_s, basis.d
     nuc = basis.nuc_dim
     occ = basis.occupations
     m = occ.astype(float)
     idx = np.arange(nuc)
 
-    H = np.zeros((basis.dim, basis.dim), dtype=complex)
+    H = np.zeros((dim, dim))
 
     # Diagonal: nuclear Zeeman, S_z S_z exchange, electron Zeeman.
     sz = m - s
@@ -160,18 +180,77 @@ def build_exact(params: PhysicalParams, profile: CouplingProfile,
     return ExactHamiltonian(H, params, profile, basis)
 
 
-def evolve_exact(ham: ExactHamiltonian, state: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) |state> via the (cached) eigendecomposition."""
+def _eigen_coefficients(ham: ExactHamiltonian, state) -> np.ndarray:
+    """V^T |state>, after checking the state's shape and norm."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (ham.dim,):
         raise DomainError(
             f"state dimension {state.shape} does not match H dimension {ham.dim}"
         )
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > NORM_TOL:
         raise DomainError(f"state must be normalised, |norm - 1| = {abs(norm - 1.0):.3e}")
+    vecs = ham.eigensystem()[1]
+    # two real products: a complex operand would cast V to a complex copy
+    return vecs.T @ state.real + 1j * (vecs.T @ state.imag)
+
+
+def _time_grid(t) -> np.ndarray:
+    times = np.asarray(t, dtype=float)
+    if times.ndim != 1:
+        raise DomainError(f"times must be a 1-d array, got shape {times.shape}")
+    return times
+
+
+def _propagate(ham: ExactHamiltonian, coeffs: np.ndarray, times: np.ndarray):
+    """Yield (rows, exp(-iHt)|psi> for the times of those rows), block by
+    block, where coeffs = V^T psi.  A block holds at most
+    PROPAGATION_BLOCK_BYTES of complex rows (at least one row)."""
     evals, vecs = ham.eigensystem()
-    return vecs @ (np.exp(-1j * evals * t) * (vecs.conj().T @ state))
+    block = max(1, PROPAGATION_BLOCK_BYTES // (16 * ham.dim))
+    for lo in range(0, times.size, block):
+        rows = slice(lo, lo + block)
+        amps = np.exp(-1j * np.outer(times[rows], evals)) * coeffs
+        yield rows, amps.real @ vecs.T + 1j * (amps.imag @ vecs.T)
+
+
+def evolve_exact(ham: ExactHamiltonian, state: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) |state> via the (cached) eigendecomposition.
+
+    A scalar t gives the evolved vector.  A 1-d array of times gives one
+    row per time, (exp(-i E (x) t) * V^T psi) V^T, computed block by block;
+    the state is checked once per call.
+    """
+    coeffs = _eigen_coefficients(ham, state)
+    times = _time_grid(np.atleast_1d(t))
+    out = np.empty((times.size, ham.dim), dtype=complex)
+    for rows, psi in _propagate(ham, coeffs, times):
+        out[rows] = psi
+    return out[0] if np.ndim(t) == 0 else out
+
+
+def up_population(ham: ExactHamiltonian, state: np.ndarray, times) -> np.ndarray:
+    """<+|rho_e(t)|+>, the electron's |+> population, for a 1-d array of times.
+
+    The sum of |psi(t)|^2 over the |+> block of the electron-major layout,
+    as reduce_electron would give it.  The grid is propagated block by
+    block and no block is kept, so memory does not grow with the number of
+    times.  Every evolved row must keep its norm to NORM_TOL, or
+    DomainError is raised.
+    """
+    coeffs = _eigen_coefficients(ham, state)
+    times = _time_grid(times)
+    nuc = ham.basis.nuc_dim
+    pop = np.empty(times.size)
+    for rows, psi in _propagate(ham, coeffs, times):
+        weights = psi.real**2 + psi.imag**2
+        drift = np.abs(np.sqrt(weights.sum(axis=1)) - 1.0)
+        if np.any(drift > NORM_TOL):
+            raise DomainError(
+                f"evolved state lost its normalisation, |norm - 1| = {drift.max():.3e}"
+            )
+        pop[rows] = weights[:, :nuc].sum(axis=1)
+    return pop
 
 
 def reduce_electron(state: np.ndarray) -> QubitState:
@@ -184,7 +263,7 @@ def reduce_electron(state: np.ndarray) -> QubitState:
     if state.ndim != 1 or state.size % 2 != 0:
         raise DomainError("joint state must be a 1-d vector of even length")
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > NORM_TOL:
         raise DomainError("joint state must be normalised")
     psi = state.reshape(2, -1)
     return QubitState(psi @ psi.conj().T)

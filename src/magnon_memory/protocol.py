@@ -162,6 +162,9 @@ def _initial_occupations(model: BosonModel, spectator_occupations):
                 if n != 0:
                     raise DomainError("memory mode must start in the vacuum state")
                 continue
+            if k not in modes:
+                raise DomainError(
+                    f"spectator mode {k} is not an active mode of the model")
             occs[modes.index(k)] = int(n)
     return occs
 

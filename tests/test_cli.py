@@ -8,16 +8,20 @@ from magnon_memory import (
     BosonModel,
     DomainError,
     PhysicalParams,
+    build_exact,
     chi_spectrum,
     decay_rate,
     default_broadening,
     effective_coupling,
+    evolve_exact,
     gaussian_profile,
     max_n_for_temperature,
     numeric_fidelity,
+    reduce_electron,
     swap_time,
 )
 from magnon_memory.cli import RunConfig, main, reproduce_figure, run_sweep
+from magnon_memory.exact import product_state
 
 
 def _base_params(N=8, J=1.0, B0=0.0, lam=1.0, s=0.5):
@@ -251,6 +255,41 @@ class TestMainEntry:
         sidecar = json.loads(
             (tmp_path / "out" / "oracle_compare_params.json").read_text())
         assert sidecar["max_abs_dev"] <= 0.05
+
+    def test_oracle_compare_matches_per_point_reference(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfg = _write_config(cfgfile, params=_base_params(N=5, J=2.3, B0=0.3),
+                            profile={"kind": "gaussian", "sigma": 1.8},
+                            time_grid={"t_max_over_t0": 2.5, "points": 31})
+        assert main(["--config", str(cfgfile), "oracle-compare"]) == 0
+        lines = (tmp_path / "out" / "oracle_compare.csv").read_text().splitlines()
+        assert lines[1] == "t,pop_exact,pop_jc,abs_dev"
+        cells = [line.split(",") for line in lines[2:]]
+        sidecar = json.loads(
+            (tmp_path / "out" / "oracle_compare_params.json").read_text())
+
+        params = RunConfig.from_dict(cfg).params
+        ham = build_exact(params, gaussian_profile(5, 1.8))
+        psi0 = product_state(ham.basis, electron=0)
+        g = effective_coupling(params)
+        ts = np.linspace(0.0, 2.5 * swap_time(params), 31)
+        assert len(cells) == ts.size
+        for t, (t_cell, pop_cell, jc_cell, dev_cell) in zip(ts, cells):
+            jc = math.cos(g * t) ** 2
+            assert t_cell == format(float(t), ".16e")
+            assert jc_cell == format(jc, ".16e")
+            pop = reduce_electron(evolve_exact(ham, psi0, t)).rho[0, 0].real
+            assert abs(float(pop_cell) - pop) <= 1e-12
+            assert abs(float(dev_cell) - abs(pop - jc)) <= 1e-12
+        assert sidecar["max_abs_dev"] == max(float(c[3]) for c in cells)
+
+    def test_oracle_compare_over_the_cap_exits_2(self, tmp_path, capsys):
+        # 2 * 2^40 states: the cap must fire before any allocation of that size
+        cfgfile = tmp_path / "c.json"
+        _write_config(cfgfile, params=_base_params(N=40),
+                      profile={"kind": "homogeneous"})
+        assert main(["--config", str(cfgfile), "oracle-compare"]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_profile_inherits_declared_coupling_scale(self, tmp_path):
         # with lambda != 1 the homogeneous profile must pick up the same

@@ -16,7 +16,8 @@ from magnon_memory import (
     reduce_electron,
     swap_time,
 )
-from magnon_memory.exact import excitation_numbers, product_state
+from magnon_memory import exact
+from magnon_memory.exact import excitation_numbers, product_state, up_population
 
 
 def _random_setup(rng, n_max=5):
@@ -94,6 +95,14 @@ class TestBuild:
         assert np.allclose(h1[:nuc, :nuc], h2[:nuc, :nuc], atol=1e-14)
         assert np.allclose(h1[nuc:, nuc:], h2[nuc:, nuc:], atol=1e-14)
 
+    def test_real_symmetric(self):
+        rng = np.random.default_rng(8)
+        for _ in range(8):
+            params, profile = _random_setup(rng)
+            H = build_exact(params, profile).matrix
+            assert H.dtype == np.float64
+            assert np.array_equal(H, H.T)
+
     def test_profile_length_mismatch(self):
         with pytest.raises(DomainError):
             build_exact(PhysicalParams(N=4), homogeneous_profile(5))
@@ -117,6 +126,11 @@ class TestBuild:
         ham = build_exact(PhysicalParams(N=5, s=1.0), homogeneous_profile(5),
                           max_dim=500)
         assert ham.dim == 2 * 3**5
+
+    def test_dimension_cap_precedes_allocation(self):
+        # 2 * 2^40 states: the basis table alone would need terabytes
+        with pytest.raises(ResourceLimitError, match="2199023255552"):
+            build_exact(PhysicalParams(N=40, s=0.5), homogeneous_profile(40))
 
 
 class TestEvolve:
@@ -169,6 +183,89 @@ class TestEvolve:
         assert abs(t_min - t0) / t0 < 0.01
         revival = reduce_electron(evolve_exact(ham, psi0, 2 * t0)).rho[0, 0].real
         assert revival == pytest.approx(1.0, abs=1e-10)
+
+
+GRID_CASES = [
+    # (params, profile factory) over profile kinds, s, J = 0 and B0 != 0
+    (PhysicalParams(N=4, s=0.5, J=0.0, B0=0.0), lambda N: homogeneous_profile(N)),
+    (PhysicalParams(N=5, s=0.5, J=1.3, B0=0.4, lam=0.8),
+     lambda N: gaussian_profile(N, 1.7, 0.8)),
+    (PhysicalParams(N=3, s=1.0, J=0.7, B0=-0.6, lam=1.4),
+     lambda N: custom_profile([1.4, 0.3, 0.9])),
+    (PhysicalParams(N=3, s=1.0, J=0.0, B0=0.25), lambda N: homogeneous_profile(N)),
+]
+
+
+def _random_state(rng, dim):
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vec / np.linalg.norm(vec)
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("case", range(len(GRID_CASES)))
+    def test_array_of_times_matches_scalar_calls(self, case):
+        params, make_profile = GRID_CASES[case]
+        ham = build_exact(params, make_profile(params.N))
+        psi = _random_state(np.random.default_rng(case), ham.dim)
+        ts = np.linspace(0.0, 3.0 * swap_time(params), 37)
+        rows = evolve_exact(ham, psi, ts)
+        assert rows.shape == (ts.size, ham.dim)
+        stacked = np.array([evolve_exact(ham, psi, t) for t in ts])
+        assert np.max(np.abs(rows - stacked)) <= 1e-12
+
+    @pytest.mark.parametrize("case", range(len(GRID_CASES)))
+    def test_up_population_matches_reduce_electron(self, case):
+        params, make_profile = GRID_CASES[case]
+        ham = build_exact(params, make_profile(params.N))
+        psi0 = product_state(ham.basis, electron=0)
+        ts = np.linspace(0.0, 2.0 * swap_time(params), 41)
+        expected = [reduce_electron(evolve_exact(ham, psi0, t)).rho[0, 0].real
+                    for t in ts]
+        assert np.max(np.abs(up_population(ham, psi0, ts) - expected)) <= 1e-12
+
+    def test_grid_longer_than_one_block(self, monkeypatch):
+        params, make_profile = GRID_CASES[1]
+        ham = build_exact(params, make_profile(params.N))
+        psi = _random_state(np.random.default_rng(3), ham.dim)
+        ts = np.linspace(0.0, 2.0 * swap_time(params), 23)
+        whole, pop = evolve_exact(ham, psi, ts), up_population(ham, psi, ts)
+        # three rows per block: eight blocks, the last one short
+        monkeypatch.setattr(exact, "PROPAGATION_BLOCK_BYTES", 3 * 16 * ham.dim)
+        np.testing.assert_allclose(evolve_exact(ham, psi, ts), whole,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(up_population(ham, psi, ts), pop,
+                                   rtol=0, atol=1e-14)
+
+    def test_up_population_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        import tracemalloc
+
+        ham = build_exact(PhysicalParams(N=5, s=0.5, J=1.0), homogeneous_profile(5))
+        psi0 = product_state(ham.basis, electron=0)
+        ham.eigensystem()
+        monkeypatch.setattr(exact, "PROPAGATION_BLOCK_BYTES", 64 * 1024)
+        ts = np.linspace(0.0, 10.0, 40_000)  # all rows: 40 MB of complex
+        tracemalloc.start()
+        try:
+            up_population(ham, psi0, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_row_norm_drift_raises(self):
+        ham = build_exact(PhysicalParams(N=3, s=0.5, J=1.0), homogeneous_profile(3))
+        evals, vecs = ham.eigensystem()
+        ham._eig = (evals, 1.5 * vecs)  # no longer orthonormal: rows drift
+        with pytest.raises(DomainError, match="normalisation"):
+            up_population(ham, product_state(ham.basis, electron=0), [0.0, 1.0])
+
+    def test_times_must_be_one_dimensional(self):
+        ham = build_exact(PhysicalParams(N=2, s=0.5), homogeneous_profile(2))
+        psi0 = product_state(ham.basis, electron=0)
+        with pytest.raises(DomainError):
+            evolve_exact(ham, psi0, np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            up_population(ham, psi0, 1.0)
 
 
 class TestReduceElectron:

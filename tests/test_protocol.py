@@ -133,6 +133,14 @@ class TestStore:
         with pytest.raises(DomainError):
             store(QubitState.up(), model, spectator_occupations={4: 1})
 
+    @pytest.mark.parametrize("mode", [2, 7])
+    def test_spectator_outside_active_modes_is_a_domain_error(self, mode):
+        # mode 2 is pruned on a homogeneous ring (chi_2 = 0), mode 7 > N
+        model = BosonModel(PhysicalParams(N=4, J=1.0),
+                           chi_spectrum(homogeneous_profile(4)))
+        with pytest.raises(DomainError, match="not an active mode"):
+            store(QubitState.up(), model, {mode: 1})
+
     def test_spectator_occupations_do_not_matter(self):
         params = PhysicalParams(N=3, J=1.1, B0=0.0)
         chi = chi_spectrum(homogeneous_profile(3))
