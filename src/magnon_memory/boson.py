@@ -87,15 +87,6 @@ class BosonModel:
     def g(self) -> float:
         return effective_coupling(self.params)
 
-    def mode_frequency(self, k: int) -> float:
-        return float(self.omega[k - 1])
-
-    def mode_coupling(self, k: int) -> complex:
-        """Electron coupling of mode k: g for the memory mode, g chi_k else."""
-        if k == self.params.N:
-            return complex(self.g)
-        return self.g * self.chi.value(k)
-
     @cached_property
     def active_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(omega_k, electron coupling) of the active modes, in their order."""
@@ -433,13 +424,20 @@ class PulseShape:
 def evolve_pulsed(model: BosonModel, state: JointState, pulse: PulseShape) -> JointState:
     """Evolution under a time-dependent coupling lam(t) at resonance.
 
-    At B0 = 0 the interaction at different times commutes, so the final
-    state depends only on the pulse area: the evolution equals a constant
-    run of effective duration area / lam.  Off resonance a time-ordered
-    integral would be required, which this operation does not support.
+    H(t) = H_0 + f(t) V, and the area shortcut (a constant run of duration
+    area / lam) is exact only when [H_0, V] = 0: at B0 = 0 and with every
+    active spectator at the memory frequency omega_N (homogeneous rings,
+    whose spectators are pruned, or J = 0).  A spectator with
+    omega_k != omega_N makes the couplings at different times fail to
+    commute, and the time-ordered evolution that would need is not
+    supported, so those models raise RegimeError, as B0 != 0 does.
     """
     if model.params.B0 != 0.0:
         raise RegimeError("pulsed evolution requires B0 = 0 (resonant, commuting regime)")
+    omega, _ = model.active_arrays
+    if np.any(omega[:-1] != omega[-1]):
+        raise RegimeError("pulsed evolution requires every active spectator at the "
+                          "memory frequency omega_N; this ring has omega_k != omega_N")
     return evolve_constant(model, state, pulse.area / model.params.lam)
 
 

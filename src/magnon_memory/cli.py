@@ -19,14 +19,13 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .boson import BosonModel
+from .boson import DEFAULT_CHI_THRESHOLD, BosonModel
 from .decoherence import (
     LargeNFidelityParams,
     SmallNFidelityParams,
@@ -291,10 +290,14 @@ class SweepResult:
     config_hash: str
 
 
-def _sweep_point(base: dict, overrides: dict) -> dict:
-    """Evaluate one grid point; independent and pure, safe in worker pools."""
-    pd = dict(base["params"])
-    prof = dict(base.get("profile", {"kind": "homogeneous"}))
+def _sweep_point(cfg: RunConfig, overrides: dict) -> dict:
+    """Evaluate one grid point: the config's ring with the point's values.
+
+    A quantity whose preconditions fail is left empty and tagged in the
+    row's error column; the other columns are still filled.
+    """
+    pd = dict(cfg.raw["params"])
+    prof = dict(cfg.raw.get("profile", {"kind": "homogeneous"}))
     eta_override = None
     for name, value in overrides.items():
         if name in _AXIS_PARAM_KEYS:
@@ -313,6 +316,7 @@ def _sweep_point(base: dict, overrides: dict) -> dict:
     def attempt(key, fn):
         try:
             row[key] = fn()
+            return row[key]
         except MagnonMemoryError as err:
             errors.append(f"{key}: {type(err).__name__}: {err}")
 
@@ -323,32 +327,23 @@ def _sweep_point(base: dict, overrides: dict) -> dict:
         row["error"] = f"setup: {type(err).__name__}: {err}"
         return row
 
-    chi = chi_spectrum(profile)
+    # one model, so F_numeric and leakage share its propagator (one eigensolve)
+    model = _model_from_cfg(cfg, params, profile)
+    chi = model.chi
     row["g"] = effective_coupling(params)
     row["t0"] = swap_time(params)
     row["sum_chi_sq"] = chi.spectator_weight()
 
-    eta_holder = {}
-
-    def get_eta():
-        eta = float(eta_override) if eta_override is not None else (
-            float(base["eta"]) if base.get("eta") is not None
-            else default_broadening(params)
-        )
-        eta_holder["eta"] = eta
-        return eta
-
-    attempt("eta", get_eta)
-    if "eta" in eta_holder:
-        attempt("gamma", lambda: decay_rate(params, chi, eta_holder["eta"]))
+    eta_in = cfg.raw.get("eta") if eta_override is None else eta_override
+    eta = attempt("eta", lambda: default_broadening(params) if eta_in is None
+                  else float(eta_in))
+    gamma = None if eta is None else attempt(
+        "gamma", lambda: decay_rate(params, chi, eta))
     attempt("max_r", lambda: adiabaticity(params, chi).max_ratio)
     attempt("omega_shift", lambda: omega_shift(params, chi))
-    if row["gamma"] != "":
+    if gamma is not None:
         attempt("F_analytic_t0", lambda: fidelity_large_n(
-            row["t0"], LargeNFidelityParams(row["gamma"], row["g"])))
-
-    # one model, so both columns share its propagator (one eigensolve)
-    model = BosonModel(params, chi, chi_threshold=base.get("chi_threshold", 1e-8))
+            row["t0"], LargeNFidelityParams(gamma, row["g"])))
     attempt("F_numeric_t0", lambda: float(numeric_fidelity(model, [row["t0"]]).f[0]))
 
     def leaked():
@@ -360,7 +355,7 @@ def _sweep_point(base: dict, overrides: dict) -> dict:
     return row
 
 
-def run_sweep(cfg: RunConfig, workers: int = 1) -> SweepResult:
+def run_sweep(cfg: RunConfig) -> SweepResult:
     """Cartesian sweep over the configured axes; one row per grid point."""
     spec = cfg.raw.get("sweep")
     if not spec or not spec.get("axes"):
@@ -378,18 +373,7 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> SweepResult:
     for name, grid in zip(names, grids):
         points = [dict(p, **{name: v}) for p in points for v in grid]
 
-    base = {
-        "params": cfg.raw["params"],
-        "profile": cfg.raw.get("profile", {"kind": "homogeneous"}),
-        "eta": cfg.raw.get("eta"),
-        "chi_threshold": cfg.tolerances.get("chi_threshold", 1e-8),
-    }
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, [base] * len(points), points))
-    else:
-        results = [_sweep_point(base, p) for p in points]
-
+    results = [_sweep_point(cfg, p) for p in points]
     header = names + SWEEP_COLUMNS
     rows = [[p[n] for n in names] + [r[c] for c in SWEEP_COLUMNS]
             for p, r in zip(points, results)]
@@ -501,10 +485,13 @@ def _load_rho(cfg: RunConfig) -> QubitState:
     return QubitState(_j2c(cfg.raw["rho"]))
 
 
-def _model_from_cfg(cfg: RunConfig) -> BosonModel:
-    profile = cfg.require_profile()
-    return BosonModel(cfg.params, chi_spectrum(profile),
-                      chi_threshold=cfg.tolerances.get("chi_threshold", 1e-8))
+def _model_from_cfg(cfg: RunConfig, params: PhysicalParams | None = None,
+                    profile=None) -> BosonModel:
+    """The config's model, or a sweep point's, with the config's chi threshold."""
+    if params is None:
+        params, profile = cfg.params, cfg.require_profile()
+    threshold = cfg.tolerances.get("chi_threshold", DEFAULT_CHI_THRESHOLD)
+    return BosonModel(params, chi_spectrum(profile), chi_threshold=threshold)
 
 
 def _cmd_store(cfg: RunConfig, args) -> int:
@@ -543,14 +530,12 @@ def _cmd_retrieve(cfg: RunConfig, args) -> int:
 
 
 def _cmd_fidelity(cfg: RunConfig, args) -> int:
-    params = cfg.require_params()
-    profile = cfg.require_profile()
-    chi = chi_spectrum(profile)
+    model = _model_from_cfg(cfg)
+    params, chi = model.params, model.chi
     grid = cfg.time_grid()
     g = effective_coupling(params)
     sidecar: dict = {"regime": args.regime, "g": g}
 
-    model = _model_from_cfg(cfg)
     numeric = numeric_fidelity(model, grid).f
 
     analytic = None
@@ -611,7 +596,7 @@ def _cmd_design_n(cfg: RunConfig, args) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> int:
-    result = run_sweep(cfg, workers=args.workers)
+    result = run_sweep(cfg)
     write_table(cfg, "sweep", result.header, result.rows, args.format,
                 {"axes": result.axes, "rows": len(result.rows),
                  "seed": cfg.seed})
@@ -636,8 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON config document")
         p.add_argument("--out", default=d(None),
                        help="output directory (default from config)")
-        p.add_argument("--workers", type=int, default=d(1),
-                       help="worker processes for sweeps")
         p.add_argument("--seed", type=int, default=d(None),
                        help="seed recorded in provenance, overrides config")
         p.add_argument("--format", choices=("csv", "json"), default=d("csv"))

@@ -43,7 +43,6 @@ __all__ = [
     "StoredState",
     "StoreOutcome",
     "ideal_store_map",
-    "storage_phase_unitary",
     "store",
     "store_outcome",
     "retrieve",
@@ -130,11 +129,6 @@ class StoredState:
 
 # Basis map of the ideal swap: columns are the images of |+> and |->.
 _SWAP_MAP = np.array([[0.0, 1.0], [-1.0j, 0.0]], dtype=complex)
-
-
-def storage_phase_unitary() -> np.ndarray:
-    """diag(1, e^{-i pi/2}): the residual phase after relabelling - <-> 0."""
-    return np.diag([1.0, np.exp(-0.5j * np.pi)])
 
 
 def ideal_store_map(rho: QubitState) -> StoredState:
@@ -247,11 +241,21 @@ def store_outcome(rho: QubitState, model: BosonModel,
 
 
 def _fock_store(rho: QubitState, model: BosonModel, occs: np.ndarray) -> StoreOutcome:
+    """Dense store with occupied spectators.
+
+    The memory mode can reach n_N >= 2 when the Fock cutoff allows it.
+    ``StoredState`` spans (|0_N>, |1_N>) only, so that block's population
+    is added to w_00: like the leakage, it counts as population that did
+    not carry the qubit into |1_N>, and w keeps unit trace.  At cutoff 1
+    the block is empty and w is the reduced state's upper 2x2 block.
+    """
     branches = _evolved_branches(rho, model, occs)
     w = np.zeros((2, 2), dtype=complex)
     leakage = 0.0
     for p, final in branches:
-        w += p * final.basis.reduce_mode(final.vector, model.params.N)[:2, :2]
+        reduced = final.basis.reduce_mode(final.vector, model.params.N)
+        w += p * reduced[:2, :2]
+        w[0, 0] += p * np.trace(reduced[2:, 2:]).real
         leakage += p * _branch_leakage(final, occs, model.params.N)
     outcome = StoreOutcome(StoredState(w), float(leakage), model, rho, occs)
     outcome.__dict__["branches"] = branches  # fills the cached property

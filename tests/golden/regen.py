@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -51,4 +50,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()

@@ -209,6 +209,34 @@ class TestPulses:
         with pytest.raises(RegimeError):
             evolve_pulsed(model, psi, PulseShape.rectangular(1.0, 1.0))
 
+    @staticmethod
+    def _gaussian_ring(J):
+        params = PhysicalParams(N=8, s=0.5, J=J, B0=0.0)
+        return BosonModel(params, chi_spectrum(gaussian_profile(8, 1.5)))
+
+    def test_spectator_off_memory_frequency_rejected(self):
+        # omega_k != omega_N for an active spectator: the couplings at
+        # different times do not commute, so the area shortcut is wrong
+        model = self._gaussian_ring(J=1.0)
+        assert len(model.active_modes) > 1
+        psi = product_state(model, electron=0)
+        with pytest.raises(RegimeError, match="omega_N"):
+            evolve_pulsed(model, psi, PulseShape.rectangular(1.0, 1.0))
+
+    def test_spectators_at_memory_frequency_allowed(self):
+        # J = 0: every spectator sits at omega_N, so only the area matters
+        model = self._gaussian_ring(J=0.0)
+        assert len(model.active_modes) > 1
+        t0 = swap_time(model.params)
+        psi = product_state(model, electron=0)
+        rect = PulseShape.rectangular(model.params.lam, t0)
+        ramp = PulseShape.gaussian_ramp(2.0, 3.0 * t0).with_area(rect.area)
+        a = evolve_pulsed(model, psi, rect).vector
+        b = evolve_pulsed(model, psi, ramp).vector
+        c = evolve_constant(model, psi, t0).vector
+        assert np.max(np.abs(a - c)) < 1e-12
+        assert np.max(np.abs(a - b)) < 1e-10
+
     def test_pulse_validation(self):
         with pytest.raises(DomainError):
             PulseShape(np.array([0.0, 1.0]), np.array([1.0, -0.5]))

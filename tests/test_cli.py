@@ -149,15 +149,6 @@ class TestSweep:
         with pytest.raises(DomainError):
             run_sweep(RunConfig.from_dict(raw))
 
-    def test_worker_pool_matches_serial(self):
-        raw = {
-            "params": _base_params(N=30, J=10.0),
-            "sweep": {"axes": [{"name": "sigma", "grid": [3.0, 6.0, 9.0]}]},
-        }
-        serial = run_sweep(RunConfig.from_dict(raw), workers=1)
-        pooled = run_sweep(RunConfig.from_dict(raw), workers=2)
-        assert serial.rows == pooled.rows
-
     def test_cartesian_product_order(self):
         raw = {
             "params": _base_params(N=12, J=5.0),
@@ -348,6 +339,18 @@ class TestMainEntry:
         assert main(["--config", str(cfgfile), "dispersion"]) == 2
         _write_config(cfgfile)
         assert main(["--config", str(cfgfile), "reproduce-figure", "fig9"]) == 2
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_workers_flag_rejected(self, tmp_path, where):
+        # sweeps run serially; argparse exits 2 on the unknown flag
+        cfgfile = tmp_path / "c.json"
+        _write_config(cfgfile, sweep={"axes": [{"name": "sigma", "grid": [2.0]}]})
+        argv = ["--config", str(cfgfile), "sweep"]
+        argv = ["--workers", "2"] + argv if where == "before" else argv + ["--workers", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_exit_code_regime_error(self, tmp_path):
         # overdamped point: gamma >> g via a resonant single-site profile

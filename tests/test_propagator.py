@@ -223,9 +223,9 @@ _PARAMS = {"N": 120, "s": 0.5, "J": 20.0, "B0": 0.0, "lambda": 1.0,
 
 
 def test_sweep_point_makes_one_eigensolve(eigh_calls):
-    base = {"params": _PARAMS, "profile": {"kind": "gaussian", "sigma": 20.0},
-            "eta": None, "chi_threshold": 1e-8}
-    row = cli._sweep_point(base, {"sigma": 30.0})
+    cfg = cli.RunConfig.from_dict(
+        {"params": _PARAMS, "profile": {"kind": "gaussian", "sigma": 20.0}})
+    row = cli._sweep_point(cfg, {"sigma": 30.0})
     assert row["error"] == ""
     assert eigh_calls == [(62, 62)]
 

@@ -23,7 +23,7 @@ from magnon_memory import (
     trace_distance,
     uhlmann_fidelity,
 )
-from magnon_memory.protocol import roundtrip_unitary, storage_phase_unitary
+from magnon_memory.protocol import roundtrip_unitary
 
 
 def _model(N=8, lam=1.0, **kwargs):
@@ -92,7 +92,7 @@ class TestIdealStoreMap:
     def test_equals_relabelling_plus_diagonal_phase(self):
         # the map is diag(1, -i) once the bases are cross-aligned
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        d = storage_phase_unitary()
+        d = np.diag([1, -1j])
         rng = np.random.default_rng(4)
         for _ in range(10):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -150,6 +150,32 @@ class TestStore:
         w_exc, leak_exc = store(rho, model, spectator_occupations={1: 1, 2: 1})
         assert trace_distance(w_vac.w, w_exc.w) <= 1e-10
         assert leak_exc <= 1e-10
+
+    @pytest.mark.parametrize("cutoff, occupations", [(2, {1: 1}), (1, {1: 2})])
+    def test_memory_mode_reaching_two_quanta(self, cutoff, occupations):
+        # a spectator quantum can move into the memory mode: its n_N >= 2
+        # population goes to w_00, so w keeps unit trace, and it is leaked
+        model = BosonModel(PhysicalParams(N=4, J=1.0),
+                           chi_spectrum(gaussian_profile(4, 1.0)), fock_cutoff=cutoff)
+        out = store_outcome(QubitState.up(), model, occupations)
+        reduced = sum(p * final.basis.reduce_mode(final.vector, 4)
+                      for p, final in out.branches)
+        dropped = np.trace(reduced[2:, 2:]).real
+        assert dropped > 1e-4
+        w = out.stored.w
+        assert np.trace(w).real == pytest.approx(1.0, abs=1e-12)
+        assert w[0, 0].real == pytest.approx(reduced[0, 0].real + dropped, abs=1e-15)
+        assert np.max(np.abs(w[:, 1] - reduced[:2, 1])) <= 1e-15
+        assert out.leakage >= dropped
+
+    def test_cutoff_one_store_is_the_reduced_block(self):
+        model = BosonModel(PhysicalParams(N=6, J=1.0),
+                           chi_spectrum(gaussian_profile(6, 1.5)))
+        out = store_outcome(QubitState.pure(0.6, 0.8), model, {1: 1})
+        reduced = sum(p * final.basis.reduce_mode(final.vector, 6)
+                      for p, final in out.branches)
+        assert reduced.shape == (2, 2)
+        assert np.array_equal(out.stored.w, reduced)
 
     def test_inhomogeneous_coupling_leaks(self):
         # survival 1 - leakage tracks the analytic decay estimate
