@@ -13,21 +13,20 @@ mode N is always kept.
 Two bases are provided: a full product Fock basis (small mode counts) and a
 single-excitation basis spanning {|+,vac>, |-,vac>, |-,1_k>}.  Electron
 index 0 = |+>, 1 = |->.  Dense evolution on either basis goes through
-``evolve_constant``; it serves Fock states with occupied spectators, bare
-joint states, and the tests as the reference.
+``evolve_constant``; it serves the protocol's stores with occupied
+spectators, and the tests as the reference.
 
 The protocol and fidelity runs use :class:`SingleExcitationPropagator`
 instead.  In the single-excitation sector |-,vac> only gathers the phase
 e^{i Omega t/2}, and the dynamics from |+,vac> is an arrowhead matrix whose
 poles omega_k - Omega/2 come in equal pairs {k, N-k}.  Each pair couples to
 |+,vac> through one bright combination, so one real eigendecomposition of
-about N/2 + 2 rows gives a(t) = <+,vac|U(t)|+,vac>, b(t) = <-,1_N|U(t)|+,vac>
-and, if asked, every spectator amplitude.
+about N/2 + 2 rows gives a(t) = <+,vac|U(t)|+,vac> and
+b(t) = <-,1_N|U(t)|+,vac>.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -133,12 +132,6 @@ class FockBasis:
             raise DomainError("invalid mode occupation tuple")
         return electron * self.mode_dim + int(occs @ self._weights)
 
-    def label(self, i: int) -> str:
-        e, rest = divmod(i, self.mode_dim)
-        sign = "+" if e == 0 else "-"
-        occ = ",".join(f"n{k}={n}" for k, n in zip(self.modes, self.occupations[rest]))
-        return f"{sign}|{occ}"
-
     def mode_position(self, k: int) -> int:
         if k not in self._position:
             raise DomainError(f"mode k={k} is not active in this basis")
@@ -194,13 +187,6 @@ class SingleExcitationBasis:
             raise DomainError("single-excitation basis holds |+,vac>, |-,vac>, |-,1_k> only")
         return 2 + int(np.argmax(occs))
 
-    def label(self, i: int) -> str:
-        if i == 0:
-            return "+|vac"
-        if i == 1:
-            return "-|vac"
-        return f"-|1_{self.modes[i - 2]}"
-
     def mode_position(self, k: int) -> int:
         if k not in self._position:
             raise DomainError(f"mode k={k} is not active in this basis")
@@ -246,16 +232,6 @@ class JointState:
             raise DomainError("state dimension does not match its basis")
         if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
             raise DomainError("joint state must be normalised to 1e-10")
-
-    def to_triples(self) -> list:
-        """JSON-friendly dump: [basis label, Re amplitude, Im amplitude]."""
-        return [
-            [self.basis.label(i), float(a.real), float(a.imag)]
-            for i, a in enumerate(self.vector)
-        ]
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_triples())
 
 
 def product_state(model: BosonModel, electron: int, occupations=None,
@@ -319,7 +295,7 @@ def evolve_constant(model: BosonModel, state: JointState, t: float) -> JointStat
 
 
 class SingleExcitationPropagator:
-    """U(t)|+,vac> of a model from one real eigendecomposition.
+    """a(t) and b(t) of a model from one real eigendecomposition.
 
     The rows are |+,vac>, |-,1_N> and one bright state per spectator pair
     {k, N-k}.  A pair shares the pole omega_k - Omega/2 (omega_k =
@@ -341,11 +317,6 @@ class SingleExcitationPropagator:
         strength = np.sqrt(np.bincount(pair_of, np.abs(coupling[:-1]) ** 2,
                                        minlength=pairs.size))
         bright = strength > 0.0
-        # spectator k holds conj(c_k) / r times the amplitude of its pair's row
-        lit = bright[pair_of]
-        self._spread = np.zeros(spectators.size, dtype=complex)
-        self._spread[lit] = np.conj(coupling[:-1][lit]) / strength[pair_of[lit]]
-        self._row_of = 1 + np.cumsum(bright)[pair_of]
 
         diag = np.concatenate([[half_split, omega[-1] - half_split],
                                model.omega[pairs[bright] - 1] - half_split])
@@ -359,15 +330,6 @@ class SingleExcitationPropagator:
         a = phases @ self.vectors[0] ** 2
         b = phases @ (self.vectors[1] * self.vectors[0])
         return a, b
-
-    def state(self, t: float) -> np.ndarray:
-        """U(t)|+,vac> on the model's SingleExcitationBasis."""
-        rows = self.vectors @ (self.vectors[0] * np.exp(-1j * self.energies * t))
-        vec = np.zeros(self._spread.size + 3, dtype=complex)
-        vec[0] = rows[0]
-        vec[2:-1] = self._spread * rows[self._row_of]
-        vec[-1] = rows[1]
-        return vec
 
 
 @dataclass(frozen=True, eq=False)

@@ -249,9 +249,10 @@ def write_table(cfg: RunConfig, name: str, header: list, rows: list,
     out = cfg.ensure_out_dir()
     if fmt == "json":
         path = out / f"{name}.json"
-        write_json(path, {"header": header,
-                          "rows": [[None if v == "" else v for v in r] for r in rows],
-                          **(sidecar or {})}, cfg.config_hash)
+        # the table's header and rows win over sidecar keys of the same name
+        write_json(path, {**(sidecar or {}), "header": header,
+                          "rows": [[None if v == "" else v for v in r] for r in rows]},
+                   cfg.config_hash)
     else:
         path = out / f"{name}.csv"
         write_csv(path, header, rows, cfg.config_hash)
@@ -374,8 +375,10 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         points = [dict(p, **{name: v}) for p in points for v in grid]
 
     results = [_sweep_point(cfg, p) for p in points]
-    header = names + SWEEP_COLUMNS
-    rows = [[p[n] for n in names] + [r[c] for c in SWEEP_COLUMNS]
+    # a swept eta is already an axis column; its derived copy is left out
+    columns = [c for c in SWEEP_COLUMNS if c not in names]
+    header = names + columns
+    rows = [[p[n] for n in names] + [r[c] for c in columns]
             for p, r in zip(points, results)]
     return SweepResult(axes, header, rows, __version__, cfg.config_hash)
 
@@ -415,46 +418,43 @@ def reproduce_figure(name: str, cfg: RunConfig | None = None):
         sidecar = {"N": N, "widths_over_N": [0.05, 0.1, 0.2]}
         return header, rows, sidecar
 
-    points = int(fig_cfg.get("points", 1001))
-    t_max_g = float(fig_cfg.get("t_max_times_g", 5.0))
-
     if name == "fig4":
         ratio = float(fig_cfg.get("gamma_over_g", 0.02))
         p = LargeNFidelityParams(gamma=ratio, g=1.0)
         mark = math.pi / 2.0
-        tg = np.unique(np.concatenate([np.linspace(0.0, t_max_g, points), [mark]]))
-        f = fidelity_large_n(tg, p)
+        tg = _marked_grid(fig_cfg, mark)
         header = ["t_times_g", "fidelity", "at_storage_instant"]
-        rows = [[t, fv, int(t == mark)] for t, fv in zip(tg, f)]
+        rows = [[t, fv, int(t == mark)] for t, fv in zip(tg, fidelity_large_n(tg, p))]
         sidecar = {"gamma_over_g": ratio, "phi": p.phi,
                    "storage_instant_times_g": mark}
-        if g_abs:
-            header.append("t")
-            for row, t in zip(rows, tg):
-                row.append(t / g_abs)
-        return header, rows, sidecar
-
-    # fig5
-    shift_ratio = float(fig_cfg.get("omega_shift_over_g", -20.0))
-    delta1_over_g = float(fig_cfg.get("delta1_over_g", 1.0))
-    p = SmallNFidelityParams(omega_shift=shift_ratio, g=1.0, delta1=delta1_over_g)
-    mark = math.pi / (2.0 * p.delta1)
-    tg = np.unique(np.concatenate([np.linspace(0.0, t_max_g, points), [mark]]))
-    f = fidelity_small_n(tg, p)
-    header = ["t_times_g", "t_times_delta1", "fidelity", "at_storage_instant"]
-    rows = [[t, t * p.delta1, fv, int(t == mark)] for t, fv in zip(tg, f)]
-    sidecar = {
-        "omega_shift_over_g": shift_ratio,
-        "g_over_2_omega_shift": 1.0 / (2.0 * shift_ratio),
-        "delta1_over_g": delta1_over_g,
-        "xi_cos": p.cos_xi, "xi_sin": p.sin_xi,
-        "storage_instant_times_delta1": mark * p.delta1,
-    }
+    else:
+        shift_ratio = float(fig_cfg.get("omega_shift_over_g", -20.0))
+        delta1_over_g = float(fig_cfg.get("delta1_over_g", 1.0))
+        p = SmallNFidelityParams(omega_shift=shift_ratio, g=1.0, delta1=delta1_over_g)
+        mark = math.pi / (2.0 * p.delta1)
+        tg = _marked_grid(fig_cfg, mark)
+        header = ["t_times_g", "t_times_delta1", "fidelity", "at_storage_instant"]
+        rows = [[t, t * p.delta1, fv, int(t == mark)]
+                for t, fv in zip(tg, fidelity_small_n(tg, p))]
+        sidecar = {
+            "omega_shift_over_g": shift_ratio,
+            "g_over_2_omega_shift": 1.0 / (2.0 * shift_ratio),
+            "delta1_over_g": delta1_over_g,
+            "xi_cos": p.cos_xi, "xi_sin": p.sin_xi,
+            "storage_instant_times_delta1": mark * p.delta1,
+        }
     if g_abs:
         header.append("t")
         for row, t in zip(rows, tg):
             row.append(t / g_abs)
     return header, rows, sidecar
+
+
+def _marked_grid(fig_cfg: dict, mark: float) -> np.ndarray:
+    """The figure's t*g grid on [0, t_max_times_g], with the instant ``mark`` added."""
+    points = int(fig_cfg.get("points", 1001))
+    t_max_g = float(fig_cfg.get("t_max_times_g", 5.0))
+    return np.unique(np.concatenate([np.linspace(0.0, t_max_g, points), [mark]]))
 
 
 # ---------------------------------------------------------------------------

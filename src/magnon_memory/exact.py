@@ -69,11 +69,6 @@ class SpinRingBasis:
             raise DomainError("electron index must be 0 (up) or 1 (down)")
         return electron * self.nuc_dim + self.nuclear_index(flips)
 
-    def label(self, i: int) -> str:
-        e, nuc = divmod(i, self.nuc_dim)
-        sign = "+" if e == 0 else "-"
-        return f"{sign}|" + ",".join(str(m) for m in self.occupations[nuc])
-
 
 class ExactHamiltonian:
     """Dense real symmetric H on the exact spin space, with cached eigensystem."""

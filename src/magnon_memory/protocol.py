@@ -16,25 +16,18 @@ single-excitation sector, where |-,vac> does not move at B0 = 0.  The
 stored state and the leakage are then closed-form functions of
 b(t0) = <-,1_N|U(t0)|+,vac>, and the round trip and its process fidelity of
 A = a(2 t0) = <+,vac|U(2 t0)|+,vac>; both come from the model's cached
-``SingleExcitationPropagator``.  Stores with occupied spectators, and bare
-joint states handed to ``retrieve``, are evolved densely.
+``SingleExcitationPropagator``.  Only stores with occupied spectators are
+evolved densely, on a Fock basis, for both the write and the read step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .boson import (
-    BosonModel,
-    FockBasis,
-    JointState,
-    SingleExcitationBasis,
-    evolve_constant,
-)
+from .boson import BosonModel, FockBasis, JointState, evolve_constant
 from .errors import DomainError, RegimeError
 from .model import swap_time
 
@@ -170,7 +163,7 @@ class StoreOutcome:
     ``occupations`` is None when the spectators start in vacuum; then the
     single-excitation propagator of ``model`` gives everything in closed
     form.  Otherwise it holds the active-mode occupations of the Fock-basis
-    store, whose joint states are evolved densely.
+    store, which ``retrieve`` evolves again from rho.
     """
 
     stored: StoredState
@@ -179,41 +172,27 @@ class StoreOutcome:
     rho: QubitState
     occupations: np.ndarray | None = None
 
-    @cached_property
-    def branches(self) -> list:
-        """[(probability, JointState at t0), ...], one per eigenvector of rho."""
-        return _evolved_branches(self.rho, self.model, self.occupations)
 
+def _evolved_branches(rho: QubitState, model: BosonModel, occs: np.ndarray,
+                      t: float) -> list:
+    """Evolve each eigenbranch of rho (x) the Fock occupations occs for t.
 
-def _evolved_branches(rho: QubitState, model: BosonModel, occs) -> list:
-    """Evolve each eigenbranch of rho (x) the initial modes for t0.
-
-    Mixing the branches with their weights equals evolving a purification
-    of rho with a virtual reference and tracing the reference out.
+    Returns [(probability, JointState at t), ...].  Mixing the branches
+    with their weights equals evolving a purification of rho with a
+    virtual reference and tracing the reference out.
     """
     probs, vecs = np.linalg.eigh(rho.rho)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
-    t0 = swap_time(model.params)
-    if occs is None:
-        basis = SingleExcitationBasis(model.active_modes)
-        up = model.propagator.state(t0)
-    else:
-        basis = FockBasis(model.active_modes, max(model.fock_cutoff, int(occs.max())))
+    basis = FockBasis(model.active_modes, max(model.fock_cutoff, int(occs.max())))
     branches = []
     for p, amp in zip(probs, vecs.T):
         if p == 0.0:
             continue
-        if occs is None:
-            vec = amp[0] * up
-            vec[1] += amp[1]  # |-,vac> is stationary at B0 = 0
-            final = JointState(vec, basis)
-        else:
-            init = np.zeros(basis.dim, dtype=complex)
-            init[basis.index(0, occs)] = amp[0]
-            init[basis.index(1, occs)] = amp[1]
-            final = evolve_constant(model, JointState(init, basis), t0)
-        branches.append((float(p), final))
+        init = np.zeros(basis.dim, dtype=complex)
+        init[basis.index(0, occs)] = amp[0]
+        init[basis.index(1, occs)] = amp[1]
+        branches.append((float(p), evolve_constant(model, JointState(init, basis), t)))
     return branches
 
 
@@ -249,17 +228,14 @@ def _fock_store(rho: QubitState, model: BosonModel, occs: np.ndarray) -> StoreOu
     not carry the qubit into |1_N>, and w keeps unit trace.  At cutoff 1
     the block is empty and w is the reduced state's upper 2x2 block.
     """
-    branches = _evolved_branches(rho, model, occs)
     w = np.zeros((2, 2), dtype=complex)
     leakage = 0.0
-    for p, final in branches:
+    for p, final in _evolved_branches(rho, model, occs, swap_time(model.params)):
         reduced = final.basis.reduce_mode(final.vector, model.params.N)
         w += p * reduced[:2, :2]
         w[0, 0] += p * np.trace(reduced[2:, 2:]).real
         leakage += p * _branch_leakage(final, occs, model.params.N)
-    outcome = StoreOutcome(StoredState(w), float(leakage), model, rho, occs)
-    outcome.__dict__["branches"] = branches  # fills the cached property
-    return outcome
+    return StoreOutcome(StoredState(w), float(leakage), model, rho, occs)
 
 
 def _branch_leakage(final: JointState, initial_occs, memory_mode: int) -> float:
@@ -297,34 +273,25 @@ def _round_trip_closed_form(rho: QubitState, model: BosonModel) -> QubitState:
                                 [np.conj(coherence), 1.0 - kept]]))
 
 
-def retrieve(stored, model: BosonModel | None = None) -> QubitState:
-    """Read step: evolve a stored joint state for another t0, reduce the electron.
+def retrieve(outcome: StoreOutcome) -> QubitState:
+    """Read step: evolve a stored state for another t0, reduce the electron.
 
-    Accepts the StoreOutcome from :func:`store_outcome` or a single
-    JointState.  An outcome read back with the model that stored it, with
-    the spectators in vacuum, is a closed-form function of a(2 t0); other
-    outcomes and bare joint states are evolved densely.
+    With the spectators in vacuum the round trip is a closed-form function
+    of a(2 t0).  A Fock-basis store evolves each eigenbranch of rho (x) its
+    spectator occupations for 2 t0 under the storing model instead.
     """
-    if isinstance(stored, StoreOutcome):
-        model = model or stored.model
-        if stored.occupations is None and model is stored.model:
-            return _round_trip_closed_form(stored.rho, model)
-        rho = np.zeros((2, 2), dtype=complex)
-        t0 = swap_time(model.params)
-        for p, joint in stored.branches:
-            final = evolve_constant(model, joint, t0)
-            rho += p * final.basis.reduce_electron(final.vector)
-        return QubitState(rho)
-    if model is None:
-        raise DomainError("retrieve needs the model when given a bare joint state")
-    _require_resonant(model, "retrieve")
-    final = evolve_constant(model, stored, swap_time(model.params))
-    return QubitState(final.basis.reduce_electron(final.vector))
+    model = outcome.model
+    if outcome.occupations is None:
+        return _round_trip_closed_form(outcome.rho, model)
+    branches = _evolved_branches(outcome.rho, model, outcome.occupations,
+                                 2.0 * swap_time(model.params))
+    return QubitState(sum(p * final.basis.reduce_electron(final.vector)
+                          for p, final in branches))
 
 
 def round_trip(rho: QubitState, model: BosonModel) -> QubitState:
     """store followed by retrieve."""
-    return retrieve(store_outcome(rho, model), model)
+    return retrieve(store_outcome(rho, model))
 
 
 def roundtrip_unitary() -> np.ndarray:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -284,15 +282,3 @@ class TestOccupationAndStates:
         bad[0] = 0.7
         with pytest.raises(DomainError):
             JointState(bad, basis)
-
-    def test_json_dump(self):
-        model = _homogeneous_model(N=4, B0=0.0)
-        psi = product_state(model, electron=0)
-        triples = json.loads(psi.dumps())
-        assert triples[0][0] == "+|vac"
-        total = sum(re**2 + im**2 for _, re, im in triples)
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_fock_labels(self):
-        basis = FockBasis((2, 5), cutoff=1)
-        assert basis.label(basis.index(1, [1, 0])) == "-|n2=1,n5=0"

@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +382,19 @@ class TestMainEntry:
         cfgfile = tmp_path / "c.json"
         _write_config(cfgfile)
         assert main(["--config", str(cfgfile), "dispersion"]) == 0
+
+
+def test_benchmark_tracer_targets_resolve():
+    # bench/tracer.py wraps these names with getattr when --trace 1 is on,
+    # so deleting or renaming one breaks every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for layer in tracer.FUNCTION_LAYERS.values() for t in layer]
+    targets.append(("magnon_memory.cli", "run_sweep"))
+    for mod_name, attr in targets:
+        assert callable(getattr(importlib.import_module(mod_name), attr)), attr
+    for mod_name, cls_name, meth in tracer.METHOD_LAYERS.values():
+        cls = getattr(importlib.import_module(mod_name), cls_name)
+        assert callable(cls.__dict__[meth]), f"{cls_name}.{meth}"

@@ -6,11 +6,14 @@ import pytest
 from magnon_memory import (
     BosonModel,
     DomainError,
+    FockBasis,
+    JointState,
     PhysicalParams,
     QubitState,
     RegimeError,
     StoredState,
     chi_spectrum,
+    evolve_constant,
     gaussian_profile,
     homogeneous_profile,
     ideal_store_map,
@@ -20,10 +23,11 @@ from magnon_memory import (
     round_trip,
     store,
     store_outcome,
+    swap_time,
     trace_distance,
     uhlmann_fidelity,
 )
-from magnon_memory.protocol import roundtrip_unitary
+from magnon_memory.protocol import _evolved_branches, roundtrip_unitary
 
 
 def _model(N=8, lam=1.0, **kwargs):
@@ -32,6 +36,12 @@ def _model(N=8, lam=1.0, **kwargs):
 
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _branches_at_t0(out):
+    """The evolved eigenbranches a Fock-basis store reduced to its stored state."""
+    return _evolved_branches(out.rho, out.model, out.occupations,
+                             swap_time(out.model.params))
 
 
 class TestQubitState:
@@ -159,7 +169,7 @@ class TestStore:
                            chi_spectrum(gaussian_profile(4, 1.0)), fock_cutoff=cutoff)
         out = store_outcome(QubitState.up(), model, occupations)
         reduced = sum(p * final.basis.reduce_mode(final.vector, 4)
-                      for p, final in out.branches)
+                      for p, final in _branches_at_t0(out))
         dropped = np.trace(reduced[2:, 2:]).real
         assert dropped > 1e-4
         w = out.stored.w
@@ -173,7 +183,7 @@ class TestStore:
                            chi_spectrum(gaussian_profile(6, 1.5)))
         out = store_outcome(QubitState.pure(0.6, 0.8), model, {1: 1})
         reduced = sum(p * final.basis.reduce_mode(final.vector, 6)
-                      for p, final in out.branches)
+                      for p, final in _branches_at_t0(out))
         assert reduced.shape == (2, 2)
         assert np.array_equal(out.stored.w, reduced)
 
@@ -221,22 +231,34 @@ class TestRetrieve:
         expected = u @ rho.rho @ u.conj().T
         assert np.max(np.abs(out.rho - expected)) < 1e-10
 
-    def test_retrieve_accepts_bare_joint_state(self):
-        model = _model(N=6)
-        outcome = store_outcome(QubitState.up(), model)
-        (_, joint), = outcome.branches
-        rho = retrieve(joint, model)
-        assert np.allclose(rho.rho, QubitState.up().rho, atol=1e-10)
-
     def test_process_fidelity(self):
         assert process_fidelity_roundtrip(_model(N=8)) >= 1.0 - 1e-9
 
-    def test_retrieve_needs_model_for_bare_state(self):
-        model = _model(N=6)
-        outcome = store_outcome(QubitState.up(), model)
-        (_, joint), = outcome.branches
-        with pytest.raises(DomainError):
-            retrieve(joint)
+    @pytest.mark.parametrize("N, k", [(4, 1), (5, 2), (6, 3)])
+    def test_fock_read_matches_dense_reference(self, N, k):
+        # a gaussian ring couples the spectator, so its quantum takes part
+        # in both steps; the reference evolves rho's eigenbranches (x) |1_k>
+        # for 2 t0 in one go and reduces them to the electron
+        model = BosonModel(PhysicalParams(N=N, J=1.0),
+                           chi_spectrum(gaussian_profile(N, 1.0)))
+        assert abs(model.chi.chi[k - 1]) > 0.03
+        basis = FockBasis(model.active_modes, 1)
+        occs = np.zeros(len(basis.modes), dtype=int)
+        occs[basis.mode_position(k)] = 1
+        t = 2.0 * swap_time(model.params)
+        for rho in (QubitState.pure(0.6, 0.8j),
+                    QubitState(np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]]))):
+            probs, vecs = np.linalg.eigh(rho.rho)
+            ref = np.zeros((2, 2), dtype=complex)
+            for p, amp in zip(np.clip(probs, 0.0, None), vecs.T):
+                init = np.zeros(basis.dim, dtype=complex)
+                init[basis.index(0, occs)], init[basis.index(1, occs)] = amp
+                final = evolve_constant(model, JointState(init, basis), t)
+                ref += p * basis.reduce_electron(final.vector)
+            got = retrieve(store_outcome(rho, model, {k: 1})).rho
+            assert np.max(np.abs(got - ref)) <= 1e-12
+            # the occupied spectator changes what is read back
+            assert np.max(np.abs(got - round_trip(rho, model).rho)) > 1e-5
 
 
 class TestFidelities:
